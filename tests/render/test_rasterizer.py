@@ -116,6 +116,121 @@ class TestShadingIntegration:
         assert abs(bright_left - bright_right) < 0.25
 
 
+def _layered(first: Mesh, second: Mesh, offset: float = 10.0) -> Mesh:
+    """One mesh holding ``first`` then ``second`` with ``second``'s u shifted."""
+    shifted = Mesh(second.vertices, second.faces, second.uvs + (offset, 0.0))
+    return first.merged_with(shifted)
+
+
+def _u_marker(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Texture that is 1 on u >= 5 (a shifted layer) and 0 elsewhere."""
+    del v
+    return (np.asarray(u) >= 5.0).astype(np.float64)
+
+
+#: Unlit, undimmed by LOD: color is 0 where the marker is 0, 1 where it is 1.
+MARKED = Material(
+    base_color=(0.5, 0.5, 0.5), texture=_u_marker, texture_scale=1.0,
+    detail_strength=1.0, unlit=True, lod_distance=1e12,
+)
+
+
+class TestRasterEdgeCases:
+    """Exact z-test and ordering semantics every rasterizer must keep."""
+
+    def test_coplanar_equal_depth_first_submitted_wins(self, camera):
+        a = render([(quad_at(-5.0), RED), (quad_at(-5.0), BLUE)], camera, 40, 30)
+        b = render([(quad_at(-5.0), BLUE), (quad_at(-5.0), RED)], camera, 40, 30)
+        covered = a.depth < 1.0
+        assert covered.sum() > 50
+        np.testing.assert_array_equal(a.color[covered], np.broadcast_to([1.0, 0.0, 0.0], (covered.sum(), 3)))
+        np.testing.assert_array_equal(b.color[covered], np.broadcast_to([0.0, 0.0, 1.0], (covered.sum(), 3)))
+        np.testing.assert_array_equal(a.depth, b.depth)
+
+    def test_coplanar_tie_within_one_mesh_keeps_face_order(self, camera):
+        out = render([(_layered(quad_at(-5.0), quad_at(-5.0)), MARKED)], camera, 40, 30)
+        covered = out.depth < 1.0
+        assert covered.sum() > 50
+        assert out.color[covered].max() < 0.01  # first layer (u < 5) everywhere
+
+    def test_fragment_exactly_at_far_plane_keeps_background(self):
+        # far = 64 makes 1/w exact; vertex 0 sits on the view axis at the far
+        # plane and lands exactly on the centre pixel of an odd viewport, so
+        # its barycentrics are exactly (1, 0, 0) and its depth exactly 1.0.
+        camera = Camera(position=np.zeros(3), target=np.array([0.0, 0.0, -1.0]), far=64.0)
+        tri = Mesh(
+            np.array([[0.0, 0.0, -64.0], [-3.0, -3.0, -4.0], [3.0, -3.0, -4.0]]),
+            np.array([[0, 1, 2]]),
+            np.zeros((3, 2)),
+        )
+        bg = (0.1, 0.2, 0.3)
+        out = render([(tri, RED)], camera, 31, 21, background=bg)
+        assert out.depth[10, 15] == 1.0
+        np.testing.assert_array_equal(out.color[10, 15], bg)
+        assert out.depth[12, 15] < 1.0  # the rest of the triangle is drawn
+        at_far = out.depth == 1.0
+        np.testing.assert_array_equal(out.color[at_far], np.broadcast_to(bg, (at_far.sum(), 3)))
+
+    def test_near_straddling_quad_fans_in_submission_order(self):
+        camera = Camera(
+            position=np.array([0.0, 1.0, 0.0]), target=np.array([0.0, 0.5, -5.0]), far=100.0
+        )
+        # Rows near the camera straddle the near plane and are clipped and
+        # fan-triangulated; rows further away are not. Both layers share the
+        # geometry exactly, so every covered pixel is an equal-depth tie that
+        # the first layer must win, clipped faces included.
+        ground = plane(4, 60, divisions=6)
+        out = render([(_layered(ground, ground), MARKED)], camera, 40, 30)
+        covered = out.depth < 1.0
+        assert covered[25].any() and covered.sum() > 200
+        assert out.color[covered].max() < 0.01
+        assert (out.depth[covered] < 0.1).any()  # clipped rows reach the camera
+
+    def test_custom_callable_texture(self, camera):
+        def halves(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+            del v
+            return (np.asarray(u) >= 0.5).astype(np.float64)
+
+        mat = Material(
+            base_color=(0.4, 0.4, 0.4), texture=halves, texture_scale=1.0,
+            detail_strength=1.0, unlit=True, lod_distance=1e12,
+        )
+        out = render([(quad_at(-5.0), mat)], camera, 40, 30)
+        row = out.color[15, :, 0]
+        covered = out.depth[15] < 1.0
+        assert set(np.round(row[covered], 6)) == {0.0, 0.8}
+        cols = np.flatnonzero(covered)
+        assert row[cols[0]] == pytest.approx(0.0, abs=1e-9) and row[cols[-1]] == pytest.approx(0.8)
+
+    def test_lit_and_unlit_in_one_frame(self, camera):
+        light = DirectionalLight(direction=(0.0, -1.0, -1.0), intensity=1.0, ambient=0.25)
+        lit = Material(base_color=(0.8, 0.6, 0.4))
+        unlit = Material(base_color=(0.8, 0.6, 0.4), unlit=True)
+        out = render(
+            [(quad_at(-5.0, size=1.0, x=-1.0), lit), (quad_at(-5.0, size=1.0, x=1.0), unlit)],
+            camera, 40, 30, light=light,
+        )
+        # The quads face +Z; the light comes in at 45 degrees to that normal.
+        lambert = max(0.0, float(-light.unit_direction() @ np.array([0.0, 0.0, 1.0])))
+        shade = light.ambient + light.intensity * lambert * (1 - light.ambient)
+        covered = out.depth < 1.0
+        left, right = covered.copy(), covered.copy()
+        left[:, 20:] = False
+        right[:, :20] = False
+        assert left.sum() > 20 and right.sum() > 20
+        np.testing.assert_array_equal(out.color[right], np.broadcast_to([0.8, 0.6, 0.4], (right.sum(), 3)))
+        lit_rgb = np.clip(np.array([0.8, 0.6, 0.4]) * shade, 0, 1)
+        np.testing.assert_array_equal(out.color[left], np.broadcast_to(lit_rgb, (left.sum(), 3)))
+        assert 0.0 < lambert < 1.0 and not (lit_rgb == [0.8, 0.6, 0.4]).any()
+
+    def test_nothing_covers_a_pixel_centre(self, camera):
+        # A sub-pixel quad between pixel centres: a non-empty bbox, no fragment.
+        bg = (0.3, 0.3, 0.3)
+        out = render([(quad_at(-5.0, size=0.01), RED)], camera, 40, 30, background=bg)
+        np.testing.assert_array_equal(out.depth, 1.0)
+        np.testing.assert_array_equal(out.color, np.broadcast_to(bg, (30, 40, 3)))
+
+
 class TestValidation:
     def test_viewport_too_small(self, camera):
         with pytest.raises(ValueError):
