@@ -15,7 +15,7 @@ full-search motion vectors exactly equal to legacy, bitstreams
 byte-identical to legacy, and a diamond-mode PSNR delta <= 0.3 dB vs full
 search.  Smoke mode swaps in a small frame to exercise every path and
 exactness assertion quickly (no speedup floors — tiny shapes don't
-amortize anything) and writes ``BENCH_codec.smoke.json`` instead.
+amortize anything) and writes ``.bench-smoke/BENCH_codec.json`` instead.
 
 Both paths run in the same process: the codec allocates little, so no
 allocator isolation is needed (unlike ``bench_hotpath.py``).

@@ -14,7 +14,7 @@ frame and asserts the PR's acceptance criteria (fast ``upscale_tiled``
 >= 3x over the legacy per-tile loop; float32 within >= 60 dB PSNR of
 float64). Smoke mode swaps in a tiny untrained model and a small frame to
 exercise every code path quickly (no speedup assertions — tiny shapes
-don't amortize anything) and writes ``BENCH_hotpath.smoke.json`` instead.
+don't amortize anything) and writes ``.bench-smoke/BENCH_hotpath.json`` instead.
 
 The legacy baseline is timed in a pristine subprocess with
 ``REPRO_NO_MALLOC_TUNING=1`` so it runs under glibc's untouched (dynamic)

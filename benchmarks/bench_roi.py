@@ -19,7 +19,7 @@ the report. Warm frames are allowed to differ *only* through that
 documented criterion; full-search frames must match the legacy box
 exactly. Smoke mode swaps in small frames to exercise every path and
 exactness assertion quickly (no speedup floors — tiny shapes don't
-amortize anything) and writes ``BENCH_roi.smoke.json`` instead.
+amortize anything) and writes ``.bench-smoke/BENCH_roi.json`` instead.
 """
 
 from __future__ import annotations

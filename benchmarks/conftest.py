@@ -19,6 +19,8 @@ from pathlib import Path
 
 REPORTS_DIR = Path(__file__).parent / "reports"
 REPO_ROOT = Path(__file__).resolve().parents[1]
+#: Where ``--smoke`` runs of the ``bench_*.py`` scripts write their reports.
+SMOKE_DIR = REPO_ROOT / ".bench-smoke"
 
 
 def emit_report(name: str, text: str) -> None:
@@ -29,16 +31,20 @@ def emit_report(name: str, text: str) -> None:
 
 
 def write_bench_json(name: str, report: dict, smoke: bool) -> Path:
-    """Write ``BENCH_<name>[.smoke].json`` at the repo root and echo it.
+    """Write ``BENCH_<name>.json`` and echo it.
 
     The single place bench reports are serialized: every report carries a
     leading ``"smoke"`` schema marker, so tooling reading the JSON never
     has to infer the mode from the filename (smoke numbers use tiny
-    shapes and must not be compared against full-run trajectories).
+    shapes and must not be compared against full-run trajectories). Full
+    runs write at the repo root, where the reports are committed; smoke
+    runs write under the git-ignored ``SMOKE_DIR``, since their timings
+    are noise that would otherwise change with every run.
     """
     report = {"smoke": smoke, **report}
-    filename = f"BENCH_{name}.smoke.json" if smoke else f"BENCH_{name}.json"
-    out_path = REPO_ROOT / filename
+    out_dir = SMOKE_DIR if smoke else REPO_ROOT
+    out_dir.mkdir(exist_ok=True)
+    out_path = out_dir / f"BENCH_{name}.json"
     out_path.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
     print(f"\nwrote {out_path}", file=sys.stderr)

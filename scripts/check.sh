@@ -53,28 +53,28 @@ REPRO_CONTRACTS=1 python scripts/pipeline_smoke.py --pipelined --scenario lte_dr
 
 echo "== hot-path bench (smoke) =="
 python benchmarks/bench_hotpath.py --smoke >/dev/null
-echo "ok: wrote BENCH_hotpath.smoke.json"
+echo "ok: wrote .bench-smoke/BENCH_hotpath.json"
 
 echo "== codec bench (smoke) =="
 python benchmarks/bench_codec.py --smoke >/dev/null
-echo "ok: wrote BENCH_codec.smoke.json"
+echo "ok: wrote .bench-smoke/BENCH_codec.json"
 
 echo "== roi bench (smoke) =="
 python benchmarks/bench_roi.py --smoke >/dev/null
-echo "ok: wrote BENCH_roi.smoke.json"
+echo "ok: wrote .bench-smoke/BENCH_roi.json"
 
 echo "== pipeline bench (smoke) =="
 python benchmarks/bench_pipeline.py --smoke >/dev/null
-echo "ok: wrote BENCH_pipeline.smoke.json"
+echo "ok: wrote .bench-smoke/BENCH_pipeline.json"
 
 echo "== GOP-reuse bench (smoke) =="
 python benchmarks/bench_gopsr.py --smoke >/dev/null
-echo "ok: wrote BENCH_gopsr.smoke.json"
+echo "ok: wrote .bench-smoke/BENCH_gopsr.json"
 
 echo "== model-zoo bench (smoke) =="
 python benchmarks/bench_zoo.py --smoke >/dev/null
-echo "ok: wrote BENCH_zoo.smoke.json"
+echo "ok: wrote .bench-smoke/BENCH_zoo.json"
 
 echo "== network-scenario bench (smoke) =="
 python benchmarks/bench_netscen.py --smoke >/dev/null
-echo "ok: wrote BENCH_netscen.smoke.json"
+echo "ok: wrote .bench-smoke/BENCH_netscen.json"

@@ -134,6 +134,17 @@ class DirectionalLight:
         d = np.asarray(self.direction, dtype=np.float64)
         return d / np.linalg.norm(d)
 
+    def lambert(self, normals: np.ndarray) -> np.ndarray:
+        """Clamped Lambert cosine ``max(0, -L . n)`` of (3,) or (F, 3) normals.
+
+        Stacked matmul reduces each row with its own dot product, the same
+        one ``-L @ n`` runs for a single normal, so the batched result is
+        bit-identical per row (a matrix-vector product may reorder sums).
+        """
+        normals = np.asarray(normals, dtype=np.float64)
+        cosine = np.matmul(-self.unit_direction(), normals[..., None])[..., 0]
+        return np.where(cosine > 0.0, cosine, 0.0)
+
 
 @dataclass(frozen=True)
 class Material:
@@ -171,10 +182,27 @@ class Material:
         view_distance: np.ndarray,
         light: DirectionalLight,
     ) -> np.ndarray:
-        """Shade ``N`` fragments; returns (N, 3) linear colors in [0, 1].
+        """Shade ``N`` fragments of one face; returns (N, 3) colors in [0, 1].
 
         ``uv``: (N, 2) texture coordinates; ``normal``: (3,) face normal;
         ``view_distance``: (N,) distance from the camera in world units.
+        """
+        lambert = 0.0 if self.unlit else light.lambert(normal)
+        return self.shade_fragments(uv, view_distance, light, lambert)
+
+    def shade_fragments(
+        self,
+        uv: np.ndarray,
+        view_distance: np.ndarray,
+        light: DirectionalLight,
+        lambert: np.ndarray | float,
+    ) -> np.ndarray:
+        """Shade ``N`` fragments from any faces; returns (N, 3) colors in [0, 1].
+
+        Like :meth:`shade`, but takes each fragment's clamped Lambert cosine
+        (a scalar or (N,), from :meth:`DirectionalLight.lambert`) instead of
+        one face normal. Every step is per fragment, so one call over many
+        faces equals one :meth:`shade` call per face, bit for bit.
         """
         uv = np.asarray(uv, dtype=np.float64)
         n = len(uv)
@@ -194,7 +222,6 @@ class Material:
             color = color * (1.0 + modulation * lod[:, None] * 2.0 * tint)
 
         if not self.unlit:
-            lambert = max(0.0, float(-light.unit_direction() @ normal))
             shade_term = light.ambient + light.intensity * lambert * (1 - light.ambient)
-            color = color * shade_term
+            color = color * np.reshape(shade_term, (-1, 1))
         return np.clip(color, 0.0, 1.0)

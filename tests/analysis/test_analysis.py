@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis import experiments
 from repro.analysis.experiments import (
     input_resolution_sweep,
     roi_sizing_table,
@@ -88,8 +89,12 @@ class TestLightExperiments:
         latencies = [r["latency_ms"] for r in rows]
         assert latencies == sorted(latencies)
 
-    def test_sota_timeline_staircase(self, tmp_path, monkeypatch):
+    def test_sota_timeline_staircase(self, tmp_path, monkeypatch, tiny_runner):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        # Modeled upscale latencies depend on geometry and device, not on the
+        # SR weights: the shared tiny runner avoids training the experiment
+        # model into the empty cache.
+        monkeypatch.setattr(experiments, "_RUNNER", tiny_runner)
         rows = sota_timeline(n_gops=2, gop_size=3)
         assert len(rows) == 6
         refs = [r for r in rows if r["type"] == "I"]

@@ -67,6 +67,14 @@ class TestLight:
         light = DirectionalLight(direction=(0, -2, 0))
         np.testing.assert_allclose(light.unit_direction(), [0, -1, 0])
 
+    def test_batched_lambert_matches_scalar_dot_bitwise(self, rng):
+        light = DirectionalLight(direction=(0.3, -0.8, 0.5))
+        normals = rng.normal(size=(500, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        scalar = [max(0.0, float(-light.unit_direction() @ n)) for n in normals]
+        np.testing.assert_array_equal(light.lambert(normals), scalar)
+        assert light.lambert(normals[0]) == scalar[0]
+
 
 class TestMaterial:
     def test_unlit_ignores_light(self):
@@ -113,3 +121,18 @@ class TestMaterial:
         mat = Material(texture=lambda u, v: np.ones_like(u), detail_strength=0.5, unlit=True)
         out = mat.shade(np.zeros((2, 2)), np.array([0, 1, 0]), np.ones(2), DirectionalLight())
         assert out.shape == (2, 3)
+
+    def test_shade_fragments_equals_per_face_shade(self, rng):
+        """One call over many faces == one ``shade`` call per face, bit for bit."""
+        light = DirectionalLight(direction=(-0.4, -1.0, -0.3), ambient=0.3)
+        normals = rng.normal(size=(4, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        face = rng.integers(0, 4, size=300)
+        uv = rng.uniform(0, 6, size=(300, 2))
+        distance = rng.uniform(0.5, 80.0, size=300)
+        for mat in (Material(texture="marble"), Material(texture="grass", unlit=True)):
+            batched = mat.shade_fragments(uv, distance, light, light.lambert(normals)[face])
+            for f in range(4):
+                sel = face == f
+                per_face = mat.shade(uv[sel], normals[f], distance[sel], light)
+                np.testing.assert_array_equal(batched[sel], per_face)
