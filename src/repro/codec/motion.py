@@ -3,24 +3,38 @@
 Two search modes share one public entry point:
 
 - ``method="full"`` (default): exhaustive full search over the square
-  window, exact but pruned.  A multilevel successive-elimination bound
-  (|sum(cur) - sum(ref)| <= SAD, evaluated on half-block sub-sums pulled
-  from one integral image of the padded reference) masks out blocks whose
-  best-so-far SAD provably cannot be beaten at an offset, so the expensive
-  per-block SAD is gathered only for the still-contested blocks.  The
-  result is *exactly* the exhaustive-search motion field: a block is
-  skipped only when the lower bound shows ``sad < best_sad`` is impossible.
+  window, exact but pruned.  Offsets are visited in nearest-first
+  *rings* (equal |dy| + |dx|; radius 7 gives 15 rings), and each ring is
+  a handful of array passes over all of its offsets and blocks at once:
+
+  1. successive-elimination lower bounds (|sum(cur) - sum(ref)| <= SAD,
+     summed over half-block sub-sums) for every (offset, block) pair,
+     read from a strided view of one integral image of the padded
+     reference;
+  2. the pairs whose bound can still beat the block's best SAD from
+     earlier rings are kept;
+  3. their true SADs are computed from reference windows gathered in
+     fixed-size chunks (bounded memory at any frame size);
+  4. per block, the ring's lexicographic minimum of (SAD, offset index)
+     is merged into the best with a strict ``<``.
+
+  The result is *exactly* the exhaustive-search motion field: a pair is
+  skipped only when the bound shows ``sad < best_sad`` is impossible.
 - ``method="diamond"``: the classic large/small diamond search (LDSP +
   SDSP refinement), vectorized across all blocks at once.  Much cheaper,
   approximate — experiment drivers keep full search for reproducibility
-  and opt into diamond explicitly (see DESIGN.md).
+  and opt into diamond explicitly (see DESIGN.md).  It computes its SADs
+  with the same chunked window gather as full search.
 
-Comparisons use exact ``sad < best_sad`` (no float epsilon): SADs of
-uint8-range planes are sums of at most a few thousand exactly-representable
-values, and candidate offsets are visited nearest-first, so exact ties keep
-the smallest displacement.  The estimated per-block motion vectors and the
-prediction residual are the codec internals NEMO's non-reference
-reconstruction consumes (Sec. II-A of the paper).
+Comparisons use exact SAD values (no float epsilon): SADs of uint8-range
+planes are sums of at most a few thousand exactly-representable values,
+and every SAD is summed over one C-contiguous ``(k, block, block)``
+gather, so it rounds the same way whichever chunk or ring it is in.  The
+tie-break is exact: among offsets with equal SAD the first in
+nearest-first order wins — within a ring by the (SAD, offset index)
+minimum, across rings by the strict ``<`` merge.  The estimated per-block
+motion vectors and the prediction residual are the codec internals NEMO's
+non-reference reconstruction consumes (Sec. II-A of the paper).
 """
 
 from __future__ import annotations
@@ -28,6 +42,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .blocks import block_grid_shape, pad_to_blocks
 
@@ -40,29 +55,33 @@ __all__ = ["estimate_motion", "compensate", "upscale_motion_vectors"]
 #: are orders of magnitude larger).
 _SEA_SLACK = 1e-3
 
-
-def _shift_frame(frame: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """Shift with edge replication: result[y, x] = frame[y + dy, x + dx]."""
-    h, w = frame.shape
-    ys = np.clip(np.arange(h, dtype=np.int64) + dy, 0, h - 1)
-    xs = np.clip(np.arange(w, dtype=np.int64) + dx, 0, w - 1)
-    return frame[np.ix_(ys, xs)]
+#: Reference windows gathered per SAD chunk.  Bounds the candidate
+#: gather at ``_GATHER_CHUNK * block**2`` float64s (2 MiB for 8x8
+#: blocks), whatever the frame size — one ring of a 1280x720 search can
+#: contest ~400k windows.
+_GATHER_CHUNK = 4096
 
 
 @lru_cache(maxsize=None)
-def _search_offsets(search_radius: int) -> tuple[tuple[int, int], ...]:
-    """All (dy, dx) in the window, nearest-first (zero motion leads).
+def _search_rings(search_radius: int) -> tuple[np.ndarray, ...]:
+    """All (dy, dx) in the window, nearest-first, split into rings.
 
-    Hoisted out of :func:`estimate_motion` and cached per radius — the
-    list is identical for every frame of a session.
+    Offsets sort by (|dy| + |dx|, dy, dx), so zero motion leads and each
+    ring of equal |dy| + |dx| is one contiguous run.  Each ring is a
+    read-only ``(k, 2)`` int64 array; radius 7 gives 15 rings.  Cached
+    per radius — the rings are identical for every frame of a session.
     """
-    offsets = [
-        (dy, dx)
-        for dy in range(-search_radius, search_radius + 1)
-        for dx in range(-search_radius, search_radius + 1)
-    ]
-    offsets.sort(key=lambda o: (abs(o[0]) + abs(o[1]), o))
-    return tuple(offsets)
+    window = range(-search_radius, search_radius + 1)
+    offsets = sorted(
+        ((dy, dx) for dy in window for dx in window),
+        key=lambda o: (abs(o[0]) + abs(o[1]), o),
+    )
+    offsets = np.array(offsets, dtype=np.int64)
+    ring = np.abs(offsets).sum(axis=1)
+    rings = np.split(offsets, np.flatnonzero(np.diff(ring)) + 1)
+    for r in rings:
+        r.flags.writeable = False
+    return tuple(rings)
 
 
 def _integral_image(plane: np.ndarray) -> np.ndarray:
@@ -73,57 +92,111 @@ def _integral_image(plane: np.ndarray) -> np.ndarray:
     return ii
 
 
+def _current_blocks(
+    cur: np.ndarray, block: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The current frame's blocks in raster order and their top-left corners.
+
+    Returns a C-contiguous ``(nblocks, block, block)`` copy and the
+    ``(nblocks,)`` row and column of each block's origin.
+    """
+    ph, pw = cur.shape
+    nby, nbx = ph // block, pw // block
+    blocks = cur.reshape(nby, block, nbx, block).transpose(0, 2, 1, 3).reshape(-1, block, block)
+    blk_y = np.repeat(np.arange(nby, dtype=np.int64) * block, nbx)
+    blk_x = np.tile(np.arange(nbx, dtype=np.int64) * block, nby)
+    return blocks, blk_y, blk_x
+
+
+def _window_sads(
+    windows: np.ndarray,
+    cur_blocks: np.ndarray,
+    blk: np.ndarray,
+    ys: np.ndarray,
+    xs: np.ndarray,
+) -> np.ndarray:
+    """SAD of each ``cur_blocks[blk[i]]`` against ``windows[ys[i], xs[i]]``.
+
+    ``windows`` is the ``sliding_window_view`` of the padded reference and
+    ``cur_blocks`` the ``(nblocks, block, block)`` current blocks.  Each
+    chunk gathers C-contiguous ``(k, block, block)`` arrays and sums over
+    the last two axes, so every SAD rounds the same way whatever the chunk
+    it lands in.  At most :data:`_GATHER_CHUNK` windows are live at once.
+    """
+    sad = np.empty(blk.size, dtype=np.float64)
+    for s in range(0, blk.size, _GATHER_CHUNK):
+        e = s + _GATHER_CHUNK
+        diff = cur_blocks[blk[s:e]]
+        diff -= windows[ys[s:e], xs[s:e]]
+        np.abs(diff, out=diff)
+        sad[s:e] = diff.sum(axis=(1, 2))
+    return sad
+
+
 def _estimate_full(
     cur: np.ndarray, ref: np.ndarray, block: int, radius: int
 ) -> np.ndarray:
-    """Exhaustive search with multilevel successive-elimination pruning."""
+    """Exhaustive search, one batched successive-elimination pass per ring."""
     ph, pw = cur.shape
     nby, nbx = ph // block, pw // block
+    nblk = nby * nbx
     rp = np.pad(ref, radius, mode="edge") if radius else ref
+    windows = sliding_window_view(rp, (block, block))
 
     # Sliding sub-block sums of the padded reference at every position,
     # from one integral image; sub-block sums of the current frame on its
-    # block grid.  ``sub`` divides ``block`` so both tile exactly.
+    # block grid.  ``sub`` divides ``block`` so both tile exactly, and
+    # ``ref_sub[y0, x0]`` is the (nsy, nsx) sub-sum grid seen at padded
+    # origin (y0, x0) — a strided view, no copy.
     sub = block // 2 if block % 2 == 0 and block >= 4 else block
-    spb = block // sub
-    ii = _integral_image(rp)
-    ref_sub_all = ii[sub:, sub:] - ii[:-sub, sub:] - ii[sub:, :-sub] + ii[:-sub, :-sub]
     nsy, nsx = ph // sub, pw // sub
+    ii = _integral_image(rp)
+    ref_sub_all = ii[sub:, sub:] - ii[:-sub, sub:]
+    ref_sub_all -= ii[sub:, :-sub]
+    ref_sub_all += ii[:-sub, :-sub]
+    del ii
+    ref_sub = sliding_window_view(
+        ref_sub_all, ((nsy - 1) * sub + 1, (nsx - 1) * sub + 1)
+    )[:, :, ::sub, ::sub]
     cur_sub = cur.reshape(nsy, sub, nsx, sub).sum(axis=(1, 3))
 
-    cur_blocks = cur.reshape(nby, block, nbx, block).transpose(0, 2, 1, 3).copy()
-    best_sad = np.full((nby, nbx), np.inf, dtype=np.float64)
-    best_mv = np.zeros((nby, nbx, 2), dtype=np.int64)
-    taps = np.arange(block, dtype=np.int64)
-    lb_buf = np.empty((nsy, nsx), dtype=np.float64)
+    cur_blocks, blk_y, blk_x = _current_blocks(cur, block)
+    best_sad = np.full(nblk, np.inf, dtype=np.float64)
+    best_mv = np.zeros((nblk, 2), dtype=np.int64)
+    all_blk = np.arange(nblk, dtype=np.int64)
 
-    for dy, dx in _search_offsets(radius):
-        y0 = radius + dy
-        x0 = radius + dx
-        # Lower bound per block: sum of |cur sub-sum - ref sub-sum| over
-        # the block's sub-blocks (triangle inequality: <= true SAD).
-        np.subtract(
-            cur_sub,
-            ref_sub_all[y0 : y0 + nsy * sub : sub, x0 : x0 + nsx * sub : sub],
-            out=lb_buf,
-        )
-        np.abs(lb_buf, out=lb_buf)
-        lb = lb_buf.reshape(nby, spb, nbx, spb).sum(axis=(1, 3))
-        bys, bxs = np.nonzero(lb - _SEA_SLACK < best_sad)
-        if bys.size == 0:
+    for ring in _search_rings(radius):
+        oy = ring[:, 0] + radius
+        ox = ring[:, 1] + radius
+        # Lower bound per (offset, block): sum of |cur sub-sum - ref
+        # sub-sum| over the block's sub-blocks (triangle inequality:
+        # <= true SAD), the 2x2 half-block terms added pairwise along y
+        # then x.  Pruned against the best SAD of earlier rings.
+        k = ring.shape[0]
+        lb = ref_sub[oy, ox]
+        np.subtract(cur_sub, lb, out=lb)
+        np.abs(lb, out=lb)
+        if sub != block:
+            lb = lb.reshape(k, nby, 2, nsx)
+            lb = lb[:, :, 0] + lb[:, :, 1]
+            lb = lb.reshape(k, nblk, 2)
+            lb = lb[:, :, 0] + lb[:, :, 1]
+        oi, blk = np.nonzero(lb.reshape(k, nblk) - _SEA_SLACK < best_sad)
+        if blk.size == 0:
             continue
-        # Gather the contested reference windows in one fancy index and
-        # evaluate their true SADs.
-        iy = (bys * block + y0)[:, None] + taps
-        ix = (bxs * block + x0)[:, None] + taps
-        ref_win = rp[iy[:, :, None], ix[:, None, :]]
-        sad = np.abs(cur_blocks[bys, bxs] - ref_win).sum(axis=(1, 2))
-        sel = sad < best_sad[bys, bxs]
-        if sel.any():
-            bys, bxs = bys[sel], bxs[sel]
-            best_sad[bys, bxs] = sad[sel]
-            best_mv[bys, bxs] = (dy, dx)
-    return best_mv
+        ring_sad = np.full((k, nblk), np.inf, dtype=np.float64)
+        ring_sad[oi, blk] = _window_sads(
+            windows, cur_blocks, blk, blk_y[blk] + oy[oi], blk_x[blk] + ox[oi]
+        )
+        # Per block, the ring's lexicographic minimum of (SAD, offset
+        # index) — argmin keeps the first — then a strict ``<`` merge, so
+        # an exact tie keeps the nearest-first offset.
+        win = ring_sad.argmin(axis=0)
+        sad = ring_sad[win, all_blk]
+        better = sad < best_sad
+        best_sad[better] = sad[better]
+        best_mv[better] = ring[win[better]]
+    return best_mv.reshape(nby, nbx, 2)
 
 
 #: Large/small diamond search patterns, nearest-first so exact ties keep
@@ -139,60 +212,57 @@ def _estimate_diamond(
     ph, pw = cur.shape
     nby, nbx = ph // block, pw // block
     rp = np.pad(ref, radius, mode="edge") if radius else ref
-    cur_blocks = cur.reshape(nby, block, nbx, block).transpose(0, 2, 1, 3).copy()
-    taps = np.arange(block, dtype=np.int64)
+    windows = sliding_window_view(rp, (block, block))
+    cur_blocks, blk_y, blk_x = _current_blocks(cur, block)
 
-    def sad_at(my: np.ndarray, mx: np.ndarray, rows, cols) -> np.ndarray:
-        iy = (rows * block + my + radius)[:, None] + taps
-        ix = (cols * block + mx + radius)[:, None] + taps
-        win = rp[iy[:, :, None], ix[:, None, :]]
-        return np.abs(cur_blocks[rows, cols] - win).sum(axis=(1, 2))
+    def sad_at(my: np.ndarray, mx: np.ndarray, blk: np.ndarray) -> np.ndarray:
+        return _window_sads(
+            windows, cur_blocks, blk, blk_y[blk] + my + radius, blk_x[blk] + mx + radius
+        )
 
-    center = np.zeros((nby, nbx, 2), dtype=np.int64)
-    rows, cols = np.divmod(np.arange(nby * nbx, dtype=np.int64), nbx)
-    best = sad_at(center[rows, cols, 0], center[rows, cols, 1], rows, cols)
-    best = best.reshape(nby, nbx)
+    all_blk = np.arange(nby * nbx, dtype=np.int64)
+    center = np.zeros((nby * nbx, 2), dtype=np.int64)
+    best = sad_at(center[:, 0], center[:, 1], all_blk)
 
-    def refine(pattern, rows, cols) -> np.ndarray:
-        """Move each (row, col) block to its best pattern point; return moved mask.
+    def refine(pattern, blk) -> np.ndarray:
+        """Move each block in ``blk`` to its best pattern point; return moved mask.
 
         All pattern points are evaluated around the *same* (frozen) centre
         and the argmin taken — nearest-first pattern order plus strict
         comparison keeps the smaller displacement on exact ties.
         """
-        cur_best = best[rows, cols].copy()
-        base_y = center[rows, cols, 0]
-        base_x = center[rows, cols, 1]
+        cur_best = best[blk]
+        base_y = center[blk, 0]
+        base_x = center[blk, 1]
         new_y = base_y.copy()
         new_x = base_x.copy()
-        moved = np.zeros(rows.size, dtype=bool)
+        moved = np.zeros(blk.size, dtype=bool)
         for dy, dx in pattern:
             if dy == 0 and dx == 0:
                 continue
             cy = np.clip(base_y + dy, -radius, radius)
             cx = np.clip(base_x + dx, -radius, radius)
-            sad = sad_at(cy, cx, rows, cols)
+            sad = sad_at(cy, cx, blk)
             sel = sad < cur_best
             if sel.any():
                 cur_best[sel] = sad[sel]
                 new_y[sel] = cy[sel]
                 new_x[sel] = cx[sel]
                 moved |= sel
-        best[rows, cols] = cur_best
-        center[rows, cols, 0] = new_y
-        center[rows, cols, 1] = new_x
+        best[blk] = cur_best
+        center[blk, 0] = new_y
+        center[blk, 1] = new_x
         return moved
 
     if radius > 0:
-        active_rows, active_cols = rows, cols
+        active = all_blk
         for _ in range(2 * radius + 2):
-            moved = refine(_LDSP, active_rows, active_cols)
+            moved = refine(_LDSP, active)
             if not moved.any():
                 break
-            active_rows = active_rows[moved]
-            active_cols = active_cols[moved]
-        refine(_SDSP, rows, cols)
-    return center
+            active = active[moved]
+        refine(_SDSP, all_blk)
+    return center.reshape(nby, nbx, 2)
 
 
 def estimate_motion(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,22 @@ class TestEstimation:
         flat = np.ones((16, 16))
         mv = estimate_motion(flat, flat, block=8, search_radius=3)
         assert (mv == 0).all()
+
+    def test_candidate_gather_memory_is_bounded(self):
+        # Noise defeats the successive-elimination bound, so late rings
+        # contest nearly every (offset, block) pair: ~50k 8x8 windows at
+        # 256x448, ~60 planes' worth if gathered at once.  The chunked
+        # gather keeps the whole search near 11 planes.
+        rng = np.random.default_rng(0)
+        cur = rng.integers(0, 256, size=(256, 448)).astype(np.float64)
+        ref = rng.integers(0, 256, size=(256, 448)).astype(np.float64)
+        tracemalloc.start()
+        try:
+            estimate_motion(cur, ref)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * cur.nbytes
 
     def test_shape_validation(self, rng):
         with pytest.raises(ValueError, match="mismatch"):
