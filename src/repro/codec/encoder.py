@@ -20,9 +20,9 @@ import numpy as np
 
 from ..contracts import shaped
 from .bitstream import BitWriter
-from .blocks import block_grid_shape, split_blocks
+from .blocks import merge_blocks, split_blocks
 from .color import rgb_to_ycbcr, subsample_chroma, upsample_chroma, ycbcr_to_rgb
-from .entropy import encode_blocks
+from .entropy import encode_blocks, signed_to_unsigned_array, write_exp_golomb_array
 from .motion import compensate, estimate_motion
 from .transform import DEFAULT_BLOCK, dequantize, forward_dct, inverse_dct, quantize
 
@@ -66,15 +66,11 @@ def _encode_plane(
     levels = quantize(forward_dct(blocks), quality)
     encode_blocks(levels, writer)
     recon_blocks = inverse_dct(dequantize(levels, quality))
-    from .blocks import merge_blocks  # local to avoid a cycle at import time
-
     return merge_blocks(recon_blocks, plane.shape[0], plane.shape[1], block)
 
 
 def _encode_motion(mv: np.ndarray, writer: BitWriter) -> None:
     """Signed Exp-Golomb coding of the (nby, nbx, 2) motion field."""
-    from .entropy import signed_to_unsigned_array, write_exp_golomb_array
-
     write_exp_golomb_array(writer, signed_to_unsigned_array(mv.reshape(-1)))
 
 
