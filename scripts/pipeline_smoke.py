@@ -59,7 +59,7 @@ def build_clients(device, runner, plan, roi_only=False):
     roi_eval = plan.side_for_frame(64)
     if roi_only:
         # Only the designs with GOP-reuse / zoo-backend / dispatch paths;
-        # run_session flips the knob on, exercising apply_client_knobs too.
+        # run_session flips the knob on, exercising SessionSpec.apply_to too.
         return [
             (GameStreamSRClient(device, runner, modeled_roi_side=plan.side), roi_eval),
             (SRIntegratedDecoderClient(device, runner), roi_eval),
@@ -212,73 +212,75 @@ def main(argv=None) -> int:
             build_game("G3"), geometry, roi_side=roi_side, gop_size=GOP
         )
 
-    out_dir = Path(args.out) if args.out else Path(tempfile.mkdtemp(prefix="traces-"))
-    for client, roi_side in build_clients(device, runner, plan, roi_only):
-        result = run_session(
-            make_server(roi_side), client, n_frames=N_FRAMES, **make_knobs(),
-        )
-        check_session(result, out_dir)
-        if args.scenario:
-            # Every frame transmitted over the trace-driven link records
-            # the conditions it saw.
-            assert result.metrics.counter("net.scenario/frames").value == N_FRAMES, (
-                f"net.scenario/frames not recorded for {result.design}"
+    # An explicit --out keeps the traces; the default scratch dir is removed.
+    with tempfile.TemporaryDirectory(prefix="traces-") as tmp:
+        out_dir = Path(args.out) if args.out else Path(tmp)
+        for client, roi_side in build_clients(device, runner, plan, roi_only):
+            result = run_session(
+                make_server(roi_side), client, n_frames=N_FRAMES, **make_knobs(),
             )
-        if args.abr:
-            assert result.metrics.counter("abr/frames").value == N_FRAMES, (
-                f"abr/frames not recorded for {result.design}"
-            )
-        if args.gop_reuse:
-            # Every frame of a reuse run carries the reuse decision record.
-            assert result.metrics.counter("sr.reuse/frames").value == N_FRAMES, (
-                f"sr.reuse/frames not recorded for {result.design}"
-            )
-            # Frame 0 is an I-frame: the cache must log a refresh for it.
-            assert result.metrics.counter("sr.reuse/refreshes").value >= 1, (
-                f"no sr.reuse refresh recorded for {result.design}"
-            )
-        if sr_backend is not None:
-            # Every RoI-SR frame must carry the backend's name in its span.
-            named = [
-                r.trace.span("upscale").metadata.get("sr_backend")
-                for r in result.records
-                if r.trace.span("upscale").metadata.get("path") != (
-                    "in_decoder_reconstruction"
+            check_session(result, out_dir)
+            if args.scenario:
+                # Every frame transmitted over the trace-driven link records
+                # the conditions it saw.
+                assert (
+                    result.metrics.counter("net.scenario/frames").value == N_FRAMES
+                ), f"net.scenario/frames not recorded for {result.design}"
+            if args.abr:
+                assert result.metrics.counter("abr/frames").value == N_FRAMES, (
+                    f"abr/frames not recorded for {result.design}"
                 )
-            ]
-            assert named and all(n == sr_backend.name for n in named), (
-                f"sr_backend={sr_backend.name} not recorded for {result.design}"
-            )
-        if dispatch is not None:
-            assert result.metrics.counter("sr.dispatch/frames").value >= 1, (
-                f"sr.dispatch/frames not recorded for {result.design}"
-            )
-        suffix = ""
-        if args.pipelined:
-            from repro.observability import canonicalize_session_trace
-            from repro.streaming import run_session_pipelined
+            if args.gop_reuse:
+                # Every frame of a reuse run carries the reuse decision record.
+                assert result.metrics.counter("sr.reuse/frames").value == N_FRAMES, (
+                    f"sr.reuse/frames not recorded for {result.design}"
+                )
+                # Frame 0 is an I-frame: the cache must log a refresh for it.
+                assert result.metrics.counter("sr.reuse/refreshes").value >= 1, (
+                    f"no sr.reuse refresh recorded for {result.design}"
+                )
+            if sr_backend is not None:
+                # Every RoI-SR frame must carry the backend's name in its span.
+                named = [
+                    r.trace.span("upscale").metadata.get("sr_backend")
+                    for r in result.records
+                    if r.trace.span("upscale").metadata.get("path") != (
+                        "in_decoder_reconstruction"
+                    )
+                ]
+                assert named and all(n == sr_backend.name for n in named), (
+                    f"sr_backend={sr_backend.name} not recorded for {result.design}"
+                )
+            if dispatch is not None:
+                assert result.metrics.counter("sr.dispatch/frames").value >= 1, (
+                    f"sr.dispatch/frames not recorded for {result.design}"
+                )
+            suffix = ""
+            if args.pipelined:
+                from repro.observability import canonicalize_session_trace
+                from repro.streaming import run_session_pipelined
 
-            piped = run_session_pipelined(
-                make_server(roi_side), client, n_frames=N_FRAMES, depth=2,
-                **make_knobs(),
+                piped = run_session_pipelined(
+                    make_server(roi_side), client, n_frames=N_FRAMES, depth=2,
+                    **make_knobs(),
+                )
+                serial_canon = json.dumps(
+                    canonicalize_session_trace(result.to_trace_dict()), sort_keys=True
+                )
+                piped_canon = json.dumps(
+                    canonicalize_session_trace(piped.to_trace_dict()), sort_keys=True
+                )
+                assert piped_canon == serial_canon, (
+                    f"pipelined canonical trace diverged from serial "
+                    f"for {result.design}"
+                )
+                suffix = "  pipelined byte-identical"
+            print(
+                f"ok: {result.design:22s} mtp {result.mean_mtp().total_ms:7.2f} ms  "
+                f"energy {result.mean_energy().total:7.2f} mJ  traces validated"
+                f"{suffix}"
             )
-            serial_canon = json.dumps(
-                canonicalize_session_trace(result.to_trace_dict()), sort_keys=True
-            )
-            piped_canon = json.dumps(
-                canonicalize_session_trace(piped.to_trace_dict()), sort_keys=True
-            )
-            assert piped_canon == serial_canon, (
-                f"pipelined canonical trace diverged from serial "
-                f"for {result.design}"
-            )
-            suffix = "  pipelined byte-identical"
-        print(
-            f"ok: {result.design:22s} mtp {result.mean_mtp().total_ms:7.2f} ms  "
-            f"energy {result.mean_energy().total:7.2f} mJ  traces validated"
-            f"{suffix}"
-        )
-    print(f"ok: schema-validated trace exports in {out_dir}")
+        print(f"ok: schema-validated trace exports in {out_dir}")
     return 0
 
 

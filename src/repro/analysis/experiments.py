@@ -120,7 +120,6 @@ def _run_one_session(
     with_lpips: bool = False,
     lpips_stride: int = 2,
     roi_config: Optional[RoIConfig] = None,
-    pipelined: bool = False,
 ) -> SessionResult:
     device = get_device(device_name)
     plan = plan_roi_window(device)
@@ -143,17 +142,6 @@ def _run_one_session(
         roi_config=roi_config or RoIConfig(),
     )
     client = _make_client(design, device, plan)
-    if pipelined:
-        from ..streaming.pipelined import run_session_pipelined
-
-        return run_session_pipelined(
-            server,
-            client,
-            n_frames=n_frames,
-            evaluate_quality=evaluate_quality,
-            with_lpips=with_lpips,
-            lpips_stride=lpips_stride,
-        )
     return run_session(
         server,
         client,
@@ -164,17 +152,13 @@ def _run_one_session(
     )
 
 
-def _cached_session(kind: str, pipelined: bool = False, **kwargs) -> SessionResult:
-    # ``pipelined`` selects the executor, not the session: results are
-    # byte-identical either way (the determinism suite guards this), so
-    # it deliberately stays out of the cache key.
+def _cached_session(kind: str, **kwargs) -> SessionResult:
     def build() -> SessionResult:
         geometry = perf_geometry() if kind == "perf" else quality_geometry()
         params = dict(kwargs)
         return _run_one_session(
             geometry=geometry,
             evaluate_quality=(kind == "quality"),
-            pipelined=pipelined,
             **params,
         )
 

@@ -130,7 +130,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         ("nemo", NemoClient(device, runner), None),
     ):
         # The execution knobs apply only to the designs that carry them
-        # (the session's apply_client_knobs validates combinations);
+        # (the session's SessionSpec validates combinations);
         # NEMO's codec-guided reconstruction has its own reuse story.
         knobs = dict(
             gop_reuse=args.gop_reuse and hasattr(client, "gop_reuse"),

@@ -33,7 +33,7 @@ from .server import GameStreamServer
 from .session import (
     FrameRecord,
     SessionResult,
-    apply_client_knobs,
+    SessionSpec,
     energy_from_trace,
     energy_of_frame,
     run_session,
@@ -66,13 +66,13 @@ __all__ = [
     "SRIntegratedDecoderClient",
     "ServerFrame",
     "SessionResult",
+    "SessionSpec",
     "ShmRing",
     "Stage",
     "StageSpan",
     "StreamGeometry",
     "StreamingClient",
     "TransmissionSplit",
-    "apply_client_knobs",
     "build_abr",
     "energy_from_trace",
     "energy_of_frame",

@@ -23,27 +23,28 @@ Dependency rules the executor enforces
   frames, so the server runs at most ``depth`` frames ahead of the
   client (backpressure blocks the producer's push when the client
   falls behind).
-* **Adaptive feedback lag** — the AIMD RoI controller observes frame
-  ``n``'s measured upscale span and resizes the window for frame
-  ``n+1``. That control edge crosses the process boundary through a
-  feedback pipe: the producer may not produce frame ``n+1`` until the
-  consumer has observed frame ``n`` and sent the window side. With
-  ``adaptive`` enabled the pipeline therefore degenerates to lock-step
-  (the documented one-frame feedback lag collapses the overlap); the
-  paper's static sizing keeps the full ``depth``-deep overlap.
+* **Feedback lag** — the adaptive RoI / ABR controller observes frame
+  ``n`` and decides the server knobs of frame ``n+1``. That control edge
+  crosses the process boundary through a feedback pipe: the producer
+  may not produce frame ``n+1`` until the consumer has observed frame
+  ``n`` and sent the knob dict. With ``adaptive`` or ``abr`` enabled the
+  pipeline therefore degenerates to lock-step (the one-frame feedback
+  lag collapses the overlap); the paper's static sizing keeps the full
+  ``depth``-deep overlap.
 
 Determinism
 -----------
 Everything stochastic or stateful on the client side of the wire — the
 :class:`~repro.network.NetworkLink` RNG, decoder state, the adaptive
 controller, quality scoring — runs in the parent, in frame order,
-through the *same* :func:`repro.streaming.session._consume_frame` helper
-the serial loop uses; the producer runs the *same* sequential
-``server.next_frame``. Pipelined sessions are therefore byte-identical
-to serial ones by construction (guarded by the cross-process determinism
-suite). Wall-clock data (``wall_ms``, ``pipeline/*`` metrics) is the one
-legitimate difference; :func:`repro.observability.canonicalize_session_trace`
-strips it for comparisons.
+through the *same* :func:`repro.streaming.session._stream` loop the
+serial executor uses; this module only supplies its frame source. The
+producer runs the *same* sequential ``server.next_frame``. Pipelined
+sessions are therefore byte-identical to serial ones by construction
+(guarded by the cross-process determinism suite). Wall-clock data
+(``wall_ms``, ``pipeline/*`` metrics) is the one legitimate difference;
+:func:`repro.observability.canonicalize_session_trace` strips it for
+comparisons.
 
 Failure semantics
 -----------------
@@ -62,20 +63,17 @@ import pickle
 import time
 import traceback
 from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from functools import partial
+from typing import Any, Dict, Iterator, List, Optional
 
-import numpy as np
-
-from ..network.link import NetworkLink
 from ..observability import (
     MetricsRegistry,
     observe_pipeline_dequeue,
     observe_pipeline_producer,
     observe_pipeline_truncation,
 )
-from .abr import ABRController
-from .adaptive import AdaptiveRoIController
 from .client import StreamingClient
 from .frames import ServerFrame
 from .pipeline import CLIENT_STAGES, SERVER_STAGES, FrameTrace
@@ -83,14 +81,10 @@ from .ring import DEFAULT_SLOT_BYTES, RingClosed, ShmRing
 from .server import GameStreamServer
 from .session import (
     SessionResult,
-    _abr_produce_knobs,
-    _adaptive_eval_side,
-    _apply_abr_client_knobs,
+    SessionSpec,
+    _FrameSource,
     _apply_server_knobs,
-    _consume_frame,
-    _resolve_scenario,
-    _validate_abr_knobs,
-    apply_client_knobs,
+    _stream,
 )
 
 __all__ = [
@@ -177,11 +171,10 @@ def _producer_main(
     Attaches to the ring by name, runs ``server.next_frame()``
     sequentially (encoder state is order-dependent), and pushes pickled
     frames. With ``feedback_enabled`` it blocks on the feedback pipe for
-    the consumer-authorized knob set before producing each frame —
-    either an adaptive RoI side (``("side", index, eval_side)``) or a
-    full ABR decision (``("knobs", index, dict)`` actuated through the
-    shared ``_apply_server_knobs``). A raised exception is reported
-    over the pipe before exiting.
+    the consumer's ``("knobs", index, dict)`` decision before producing
+    each frame and actuates it through the shared
+    ``_apply_server_knobs``; ``("stop",)`` ends it early. A raised
+    exception is reported over the pipe before exiting.
     """
     ring = ShmRing(capacity, slot_bytes, name=ring_name, create=False)
     prefetcher: Optional[_RenderPrefetcher] = None
@@ -195,13 +188,8 @@ def _producer_main(
                 msg = conn.recv()
                 if msg[0] == "stop":
                     return
-                assert msg[0] in ("side", "knobs") and msg[1] == index, msg
-                if msg[0] == "side":
-                    eval_side = msg[2]
-                    if server.detector is not None and eval_side is not None:
-                        server.set_roi_side(eval_side)
-                else:
-                    _apply_server_knobs(server, msg[2])
+                assert msg[0] == "knobs" and msg[1] == index, msg
+                _apply_server_knobs(server, msg[2])
             prerendered = prefetcher.get(index) if prefetcher is not None else None
             frame = server.next_frame(prerendered=prerendered)
             payload = pickle.dumps(frame, protocol=pickle.HIGHEST_PROTOCOL)
@@ -226,27 +214,16 @@ def run_session_pipelined(
     server: GameStreamServer,
     client: StreamingClient,
     n_frames: int,
-    evaluate_quality: bool = False,
-    with_lpips: bool = False,
-    lpips_stride: int = 1,
-    hr_reference_fn: Optional[Callable[[int], np.ndarray]] = None,
-    link: Optional[NetworkLink] = None,
-    link_deadline_ms: float = float("inf"),
-    adaptive: Optional[AdaptiveRoIController] = None,
-    skip_dropped: bool = False,
-    gop_reuse: bool = False,
-    sr_backend=None,
-    dispatch=None,
-    scenario=None,
-    abr: Optional[ABRController] = None,
     depth: int = 2,
     workers: int = 1,
     slot_bytes: int = DEFAULT_SLOT_BYTES,
+    **knobs: Any,
 ) -> SessionResult:
     """Pipelined drop-in for :func:`repro.streaming.session.run_session`.
 
-    Same signature and :class:`SessionResult` contract as the serial
-    loop, plus:
+    Same ``knobs`` (the fields of
+    :class:`~repro.streaming.session.SessionSpec`) and
+    :class:`SessionResult` contract as the serial loop, plus:
 
     ``depth``
         Ring capacity = how many frames the server may run ahead of the
@@ -266,39 +243,36 @@ def run_session_pipelined(
     server (``render_hr_reference`` is pure in the frame index), unless
     ``hr_reference_fn`` overrides the source as in the serial loop.
     """
-    if n_frames < 1:
-        raise ValueError(f"n_frames must be >= 1, got {n_frames}")
-    if lpips_stride < 1:
-        raise ValueError(f"lpips_stride must be >= 1, got {lpips_stride}")
+    spec = SessionSpec(**knobs)
     if depth < 1:
         raise ValueError(f"pipeline depth must be >= 1, got {depth}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    link = _resolve_scenario(scenario, link)
-    _validate_abr_knobs(
-        abr, adaptive=adaptive, gop_reuse=gop_reuse,
-        sr_backend=sr_backend, dispatch=dispatch,
+    open_source = partial(
+        _ring_source, server, n_frames, spec.controller is not None,
+        depth, workers, slot_bytes,
     )
-    # Client stages run in the parent process, so the GOP cache (and any
-    # zoo backend / dispatcher state) sees frames in order exactly as in
-    # the serial loop.
-    apply_client_knobs(
-        client, gop_reuse=gop_reuse, sr_backend=sr_backend, dispatch=dispatch
-    )
-    feedback_enabled = adaptive is not None or abr is not None
+    return _stream(server, client, n_frames, spec, open_source)
 
-    client.reset()
-    metrics = MetricsRegistry()
-    result = SessionResult(
-        game_id=server.game.game_id,
-        design=client.design,
-        device_name=client.device.name,
-        geometry=server.geometry,
-        gop_size=server.gop_size,
-        metrics=metrics,
-    )
-    hr_fn = hr_reference_fn if hr_reference_fn is not None else server.render_hr_reference
 
+@contextmanager
+def _ring_source(
+    server: GameStreamServer,
+    n_frames: int,
+    feedback_enabled: bool,
+    depth: int,
+    workers: int,
+    slot_bytes: int,
+    metrics: MetricsRegistry,
+) -> Iterator[_FrameSource]:
+    """Start the producer and yield a frame source that pops the ring.
+
+    The source sends each frame's server knob dict over the feedback
+    pipe (authorizing the producer to produce that frame), then pops the
+    frame. It returns ``None`` when the producer died or failed. On exit
+    the ring is drained, closed, and unlinked, and a producer error is
+    re-raised.
+    """
     ring = ShmRing(depth, slot_bytes)
     parent_conn, child_conn = mp.Pipe()
     producer = mp.Process(
@@ -319,64 +293,32 @@ def run_session_pipelined(
     producer.start()
     child_conn.close()
     producer_error: Optional[str] = None
-    skip_state = {"reference_broken": False}
-    period_ms = 1000.0 / server.fps
+
+    def pop(
+        index: int, server_knobs: Optional[Dict[str, Any]]
+    ) -> Optional[ServerFrame]:
+        nonlocal producer_error
+        if server_knobs is not None:
+            parent_conn.send(("knobs", index, server_knobs))
+        waited_from = time.perf_counter()
+        stalled = not ring.ready(index)
+        payload = ring.pop(index, alive=producer.is_alive)
+        if payload is None:
+            producer_error = _drain_error(parent_conn)
+            if producer_error is None:
+                observe_pipeline_truncation(metrics, n_frames - index)
+            return None
+        queue_wait_ms = (time.perf_counter() - waited_from) * 1e3
+        observe_pipeline_dequeue(
+            metrics,
+            queue_wait_ms,
+            ring.occupancy,
+            stalled and queue_wait_ms > _STALL_THRESHOLD_MS,
+        )
+        return pickle.loads(payload)
+
     try:
-        for index in range(n_frames):
-            if abr is not None:
-                # The serial loop's per-frame ABR actuation, split across
-                # the process boundary: client knobs (RoI pin, SR backend)
-                # stay here, the server knob dict crosses via the feedback
-                # pipe (authorizing the producer to produce this frame).
-                knobs = _abr_produce_knobs(
-                    abr, server.detector is not None, server.geometry
-                )
-                _apply_abr_client_knobs(client, abr)
-                parent_conn.send(("knobs", index, knobs))
-            elif adaptive is not None:
-                # The serial loop's _apply_adaptive_side, split across the
-                # process boundary: the client pin stays here, the server
-                # side crosses via the feedback pipe (authorizing the
-                # producer to produce this frame).
-                if getattr(client, "modeled_roi_side", None) is not None:
-                    client.modeled_roi_side = adaptive.side
-                parent_conn.send(
-                    ("side", index, _adaptive_eval_side(adaptive, server.geometry))
-                )
-            waited_from = time.perf_counter()
-            stalled = not ring.ready(index)
-            payload = ring.pop(index, alive=producer.is_alive)
-            if payload is None:
-                producer_error = _drain_error(parent_conn)
-                if producer_error is None:
-                    observe_pipeline_truncation(metrics, n_frames - index)
-                break
-            queue_wait_ms = (time.perf_counter() - waited_from) * 1e3
-            observe_pipeline_dequeue(
-                metrics,
-                queue_wait_ms,
-                ring.occupancy,
-                stalled and queue_wait_ms > _STALL_THRESHOLD_MS,
-            )
-            server_frame: ServerFrame = pickle.loads(payload)
-            result.records.append(
-                _consume_frame(
-                    server_frame,
-                    client,
-                    metrics,
-                    link=link,
-                    link_deadline_ms=link_deadline_ms,
-                    adaptive=adaptive,
-                    evaluate_quality=evaluate_quality,
-                    with_lpips=with_lpips,
-                    lpips_stride=lpips_stride,
-                    hr_fn=hr_fn if evaluate_quality else None,
-                    skip_dropped=skip_dropped,
-                    skip_state=skip_state,
-                    abr=abr,
-                    at_ms=index * period_ms,
-                )
-            )
+        yield pop
     finally:
         observe_pipeline_producer(
             metrics,
@@ -403,7 +345,6 @@ def run_session_pipelined(
         raise RuntimeError(
             f"pipeline producer failed:\n{producer_error}"
         )
-    return result
 
 
 def _drain_error(conn) -> Optional[str]:

@@ -9,27 +9,24 @@ The loop is staged end to end: every frame carries a merged
 :class:`~repro.streaming.pipeline.FrameTrace` (server render/RoI/encode/
 network spans + client decode/upscale/display spans) from which the MTP
 and energy aggregates are derived, and which feeds the session's
-:class:`~repro.observability.MetricsRegistry`. Two optional, default-off
-extension hooks wire previously-orphaned subsystems into the loop:
+:class:`~repro.observability.MetricsRegistry`.
 
-* ``link`` — a lossy :class:`~repro.network.NetworkLink` transport stage
-  replacing the flat bandwidth model: per-frame packetization, random
-  loss, retransmission rounds, and deadline-based frame drops, all
-  surfaced in the network span (Sec. II-A's motivation, end to end).
-* ``adaptive`` — an :class:`~repro.streaming.adaptive.AdaptiveRoIController`
-  policy fed each frame's measured upscale span, driving the server's
-  RoI window side (and a pinned client-side modeled RoI) via AIMD.
-
-With both left at ``None`` the session is numerically identical to the
-paper's static configuration (guarded by the equivalence tests).
+:class:`SessionSpec` is the one list of session knobs. Both executors
+(:func:`run_session` here and
+:func:`~repro.streaming.pipelined.run_session_pipelined`) take its fields
+as keyword arguments and drive the same loop, :func:`_stream`; they
+differ only in where frames come from. With every knob at its default
+the session is numerically identical to the paper's static
+configuration (guarded by the equivalence tests).
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, ContextManager, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -52,7 +49,7 @@ from .server import GameStreamServer
 __all__ = [
     "FrameRecord",
     "SessionResult",
-    "apply_client_knobs",
+    "SessionSpec",
     "run_session",
     "energy_of_frame",
     "energy_from_trace",
@@ -312,106 +309,119 @@ def _transport_stage(
     return outcome
 
 
-def _resolve_scenario(
-    scenario: Optional[object], link: Optional[NetworkLink], seed: int = 0
-) -> Optional[NetworkLink]:
-    """Materialize the ``scenario=`` knob into the session's link.
 
-    ``scenario`` is a canned/synthetic name (see
-    :func:`repro.network.trace.build_scenario`) or an already-built
-    :class:`NetworkLink`; mutually exclusive with an explicit ``link``.
+
+@dataclass(frozen=True)
+class SessionSpec:
+    """The per-session knobs: names, defaults, and the rules between them.
+
+    Both executors take exactly these fields as keyword arguments (an
+    unknown name is a ``TypeError``), and ``__post_init__`` rejects bad
+    values and conflicting combinations before any frame is produced.
+    All-defaults is the paper's static configuration.
     """
-    if scenario is None:
-        return link
-    if link is not None:
-        raise ValueError("scenario= and link= are mutually exclusive")
-    if isinstance(scenario, NetworkLink):
-        return scenario
-    if isinstance(scenario, str):
-        return build_scenario(scenario, seed=seed)
-    raise TypeError(
-        f"scenario must be a name or NetworkLink, got {type(scenario).__name__}"
-    )
 
+    #: Render the native HR ground truth per frame and score PSNR (and
+    #: LPIPS when ``with_lpips``) of the client output. Much slower, so
+    #: latency/energy benches leave it off.
+    evaluate_quality: bool = False
+    with_lpips: bool = False
+    #: Score LPIPS on every k-th frame only (it is the costliest metric).
+    lpips_stride: int = 1
+    #: Overrides the ground-truth source (used to share renders across
+    #: designs).
+    hr_reference_fn: Optional[Callable[[int], np.ndarray]] = None
+    #: Frames the ``scenario`` link delivers later than this are flagged
+    #: dropped.
+    link_deadline_ms: float = float("inf")
+    #: Closes the RoI-sizing loop: each frame's measured upscale span
+    #: feeds the AIMD controller, which sets the server's RoI window side
+    #: (rescaled to the eval frame) and a pinned client-side modeled RoI
+    #: for the next frame.
+    adaptive: Optional[AdaptiveRoIController] = None
+    #: Skip the client for frames the transport dropped: no decode/SR
+    #: runs, zeroed spans tagged ``skipped`` are recorded, and the frame
+    #: is excluded from quality scoring and controller observation. A
+    #: skipped frame breaks the decoder's reference chain, so later
+    #: P-frames are skipped too (``reason="reference_lost"``) until the
+    #: next delivered I-frame. Off, dropped frames are processed in full.
+    skip_dropped: bool = False
+    #: Compressed-domain SR cache (:mod:`repro.sr.gop_reuse`): P-frames
+    #: warp the previous SR output by the decoded motion field and
+    #: re-upscale only the blocks whose residual marks them dirty.
+    gop_reuse: bool = False
+    #: Model-zoo :class:`~repro.sr.backends.SRBackend` that replaces the
+    #: RoI SR executor.
+    sr_backend: Any = None
+    #: :class:`~repro.sr.dispatch.DifficultyDispatcher` that routes each
+    #: RoI tile to a backend. ``gop_reuse``, ``sr_backend`` and
+    #: ``dispatch`` are mutually exclusive (checked by the client).
+    dispatch: Any = None
+    #: Lossy transport in place of the flat bandwidth model: a prebuilt
+    #: :class:`NetworkLink`, a canned trace name (``"lte_drive"``) or a
+    #: ``"synthetic:<seed>"`` generator spec. Frames transmit at their
+    #: session-time instant (``index / fps``), and the network span
+    #: records the packets, retransmissions, drop and (trace-driven
+    #: links) the conditions seen.
+    scenario: Union[str, NetworkLink, None] = None
+    #: :class:`~repro.streaming.abr.ABRController` that observes each
+    #: transmit outcome and co-adapts codec quality, GOP structure, RoI
+    #: size and SR backend before the next frame. It subsumes
+    #: ``adaptive``, ``gop_reuse``, ``sr_backend`` and ``dispatch``.
+    abr: Optional[ABRController] = None
 
-def _apply_server_knobs(server: GameStreamServer, knobs: Dict[str, Any]) -> None:
-    """Actuate one frame's ABR decision on the server before production.
+    def __post_init__(self) -> None:
+        if self.lpips_stride < 1:
+            raise ValueError(f"lpips_stride must be >= 1, got {self.lpips_stride}")
+        if self.scenario is not None and not isinstance(
+            self.scenario, (str, NetworkLink)
+        ):
+            raise TypeError(
+                "scenario must be a name or NetworkLink, got "
+                f"{type(self.scenario).__name__}"
+            )
+        if self.abr is not None:
+            conflicts = [
+                name
+                for name, on in (
+                    ("adaptive", self.adaptive is not None),
+                    ("gop_reuse", self.gop_reuse),
+                    ("sr_backend", self.sr_backend is not None),
+                    ("dispatch", self.dispatch is not None),
+                )
+                if on
+            ]
+            if conflicts:
+                raise ValueError(
+                    f"abr= is mutually exclusive with {', '.join(conflicts)}"
+                )
 
-    Shared by the serial loop and the pipelined producer (the dict
-    crosses the feedback pipe verbatim), so both executors mutate the
-    encoder identically. ``force_idr`` resets the encoder's GOP phase:
-    the next frame is an I-frame regardless of position.
-    """
-    side = knobs.get("eval_roi_side")
-    if side is not None and server.detector is not None:
-        server.set_roi_side(side)
-    quality = knobs.get("quality")
-    if quality is not None:
-        server.encoder.quality = quality
-    gop_size = knobs.get("gop_size")
-    if gop_size is not None:
-        server.encoder.gop_size = gop_size
-    if knobs.get("force_idr"):
-        server.encoder.reset()
+    @property
+    def controller(self) -> Optional[AdaptiveRoIController]:
+        """The per-frame feedback controller (ABR is an adaptive one)."""
+        return self.abr if self.abr is not None else self.adaptive
 
+    def link(self) -> Optional[NetworkLink]:
+        """The session's transport; a scenario name builds a fresh link."""
+        if isinstance(self.scenario, str):
+            return build_scenario(self.scenario)
+        return self.scenario
 
-def _abr_produce_knobs(
-    abr: ABRController, server_has_roi: bool, geometry: StreamGeometry
-) -> Dict[str, Any]:
-    """The ABR decision for the next frame, with the RoI side rescaled
-    to the eval geometry (``None`` when the server has no detector)."""
-    eval_side = _adaptive_eval_side(abr, geometry) if server_has_roi else None
-    return abr.next_frame_knobs(eval_side)
-
-
-def _apply_abr_client_knobs(client: StreamingClient, abr: ABRController) -> None:
-    """Actuate the rung's client-side knobs (consumer process).
-
-    The RoI pin follows the capped controller side like the adaptive
-    path; the SR backend switches only when the rung actually changed it
-    (``set_sr_backend`` rebuilds the upscaler) and only on designs that
-    expose the zoo knob.
-    """
-    if getattr(client, "modeled_roi_side", None) is not None:
-        client.modeled_roi_side = abr.side
-    backend = abr.client_backend()
-    if backend is not None and hasattr(client, "set_sr_backend"):
-        if getattr(client, "sr_backend", None) is not backend:
-            client.set_sr_backend(backend)
-
-
-def _adaptive_eval_side(
-    adaptive: AdaptiveRoIController, geometry: StreamGeometry
-) -> int:
-    """The controller's window side rescaled to the eval geometry.
-
-    The controller plans on the modeled geometry (the paper's 720p frame);
-    the server detects on the eval frame, so the side is rescaled by frame
-    height exactly like ``RoIWindowPlan.side_for_frame`` does.
-    """
-    eval_side = int(
-        round(adaptive.side * geometry.eval_lr_height / geometry.modeled_lr_height)
-    )
-    return max(2, min(eval_side, geometry.eval_lr_height))
-
-
-def _apply_adaptive_side(
-    server: GameStreamServer,
-    client: StreamingClient,
-    adaptive: AdaptiveRoIController,
-    geometry: StreamGeometry,
-) -> None:
-    """Push the controller's (modeled-scale) window side into the pipeline.
-
-    A client with a pinned ``modeled_roi_side`` follows the controller
-    directly. The pipelined executor splits this into its two halves —
-    the server side crosses the process boundary via the feedback
-    channel, the client pin stays with the consumer.
-    """
-    if server.detector is not None:
-        server.set_roi_side(_adaptive_eval_side(adaptive, geometry))
-    if getattr(client, "modeled_roi_side", None) is not None:
-        client.modeled_roi_side = adaptive.side
+    def apply_to(self, client: StreamingClient) -> None:
+        """Enable the SR-execution knobs on ``client``; defaults are a no-op."""
+        if self.gop_reuse:
+            _require_knob(client, "gop_reuse")
+            client.gop_reuse = True
+        if self.sr_backend is not None:
+            _require_knob(client, "sr_backend")
+            client.set_sr_backend(self.sr_backend)
+        if self.dispatch is not None:
+            _require_knob(client, "dispatch")
+            client.set_dispatch(self.dispatch)
+        if self.gop_reuse and hasattr(client, "_validate_sr_knobs"):
+            # set_sr_backend/set_dispatch validate on their own; a lone
+            # gop_reuse=True must still catch a knob set at construction.
+            client._validate_sr_knobs()
 
 
 def _require_knob(client: StreamingClient, knob: str) -> None:
@@ -429,65 +439,72 @@ def _require_knob(client: StreamingClient, knob: str) -> None:
         )
 
 
-def apply_client_knobs(
-    client: StreamingClient,
-    *,
-    gop_reuse: bool = False,
-    sr_backend=None,
-    dispatch=None,
-) -> None:
-    """Validate and enable the per-session client execution knobs.
+def _apply_server_knobs(server: GameStreamServer, knobs: Dict[str, Any]) -> None:
+    """Actuate one frame's feedback decision on the server before production.
 
-    One shared entry point for every caller (serial session, pipelined
-    session, CLI), so support checks and the mutual-exclusion rule live
-    in exactly one place. All-defaults is a no-op.
+    Shared by the serial frame source and the pipelined producer (the
+    dict crosses the feedback pipe verbatim), so both executors mutate
+    the server identically. ``force_idr`` resets the encoder's GOP
+    phase: the next frame is an I-frame regardless of position.
     """
-    if gop_reuse:
-        _require_knob(client, "gop_reuse")
-        client.gop_reuse = True
-    if sr_backend is not None:
-        _require_knob(client, "sr_backend")
-        client.set_sr_backend(sr_backend)
-    if dispatch is not None:
-        _require_knob(client, "dispatch")
-        client.set_dispatch(dispatch)
-    if gop_reuse and hasattr(client, "_validate_sr_knobs"):
-        # set_sr_backend/set_dispatch validate on their own; a lone
-        # gop_reuse=True must still catch a knob set at construction.
-        client._validate_sr_knobs()
+    side = knobs.get("eval_roi_side")
+    if side is not None and server.detector is not None:
+        server.set_roi_side(side)
+    quality = knobs.get("quality")
+    if quality is not None:
+        server.encoder.quality = quality
+    gop_size = knobs.get("gop_size")
+    if gop_size is not None:
+        server.encoder.gop_size = gop_size
+    if knobs.get("force_idr"):
+        server.encoder.reset()
 
 
-def _validate_abr_knobs(
-    abr: Optional[ABRController],
-    *,
-    adaptive: Optional[AdaptiveRoIController],
-    gop_reuse: bool,
-    sr_backend,
-    dispatch,
-) -> None:
-    """Reject knob combinations the ABR controller subsumes.
+def _adaptive_eval_side(
+    adaptive: AdaptiveRoIController, geometry: StreamGeometry
+) -> int:
+    """The controller's window side rescaled to the eval geometry.
 
-    ABR owns the RoI loop (it *is* an :class:`AdaptiveRoIController`)
-    and switches SR backends per rung, so a simultaneous ``adaptive``
-    controller or a static ``gop_reuse``/``sr_backend``/``dispatch``
-    pin would fight it frame by frame.
+    The controller plans on the modeled geometry (the paper's 720p frame);
+    the server detects on the eval frame, so the side is rescaled by frame
+    height exactly like ``RoIWindowPlan.side_for_frame`` does.
     """
-    if abr is None:
-        return
-    conflicts = [
-        name
-        for name, on in (
-            ("adaptive", adaptive is not None),
-            ("gop_reuse", gop_reuse),
-            ("sr_backend", sr_backend is not None),
-            ("dispatch", dispatch is not None),
-        )
-        if on
-    ]
-    if conflicts:
-        raise ValueError(
-            f"abr= is mutually exclusive with {', '.join(conflicts)}"
-        )
+    eval_side = int(
+        round(adaptive.side * geometry.eval_lr_height / geometry.modeled_lr_height)
+    )
+    return max(2, min(eval_side, geometry.eval_lr_height))
+
+
+def _frame_feedback(
+    spec: SessionSpec, server: GameStreamServer, client: StreamingClient
+) -> Optional[Dict[str, Any]]:
+    """The controller's decision for the next frame, before it is produced.
+
+    Applies the client half in place: the pinned modeled RoI follows the
+    controller side, and an ABR rung's SR backend is switched in when it
+    changed (``set_sr_backend`` rebuilds the upscaler). Returns the
+    server half as a knob dict for :func:`_apply_server_knobs`, or
+    ``None`` without a controller.
+    """
+    controller = spec.controller
+    if controller is None:
+        return None
+    eval_side = (
+        _adaptive_eval_side(controller, server.geometry)
+        if server.detector is not None
+        else None
+    )
+    if spec.abr is not None:
+        knobs = spec.abr.next_frame_knobs(eval_side)
+    else:
+        knobs = {"eval_roi_side": eval_side}
+    if getattr(client, "modeled_roi_side", None) is not None:
+        client.modeled_roi_side = controller.side
+    backend = spec.abr.client_backend() if spec.abr is not None else None
+    if backend is not None and hasattr(client, "set_sr_backend"):
+        if getattr(client, "sr_backend", None) is not backend:
+            client.set_sr_backend(backend)
+    return knobs
 
 
 def _skipped_client_result(frame: ServerFrame, reason: str) -> ClientFrameResult:
@@ -535,32 +552,22 @@ def _consume_frame(
     server_frame: ServerFrame,
     client: StreamingClient,
     metrics: MetricsRegistry,
-    *,
+    spec: SessionSpec,
     link: Optional[NetworkLink],
-    link_deadline_ms: float,
-    adaptive: Optional[AdaptiveRoIController],
-    evaluate_quality: bool,
-    with_lpips: bool,
-    lpips_stride: int,
     hr_fn: Optional[Callable[[int], np.ndarray]],
-    skip_dropped: bool,
-    skip_state: Optional[Dict[str, bool]] = None,
-    abr: Optional[ABRController] = None,
-    at_ms: float = 0.0,
+    skip_state: Dict[str, bool],
+    at_ms: float,
 ) -> FrameRecord:
     """Run the client half of the pipeline on one produced server frame.
 
-    This is the single consumer implementation shared by the serial
-    :func:`run_session` loop and the pipelined executor
-    (:func:`repro.streaming.pipelined.run_session_pipelined`) — both
-    paths execute byte-for-byte the same transport, decode/SR, adaptive
-    observation, quality scoring, and trace/energy assembly, which is
-    what makes the cross-executor determinism guarantee hold by
-    construction.
+    Transport, decode/SR, controller observation, quality scoring, and
+    trace/energy assembly all happen here, in frame order, in the
+    consumer process of either executor.
     """
     dropped, retransmissions = False, 0
+    abr = spec.abr
     if link is not None:
-        outcome = _transport_stage(server_frame, link, link_deadline_ms, at_ms)
+        outcome = _transport_stage(server_frame, link, spec.link_deadline_ms, at_ms)
         dropped, retransmissions = outcome.dropped, outcome.n_retransmissions
         if abr is not None:
             if server_frame.trace is not None and abr.frame_meta:
@@ -574,28 +581,24 @@ def _consume_frame(
     # delivered I-frame resets the decoder. ``skip_state`` carries that
     # one bit of GOP state between consecutive _consume_frame calls.
     skipped, skip_reason = False, ""
-    if skip_dropped:
-        broken = skip_state is not None and skip_state.get("reference_broken", False)
+    if spec.skip_dropped:
         if dropped:
             skipped, skip_reason = True, "transport_drop"
-        elif broken and server_frame.encoded.frame_type == "P":
+        elif skip_state["reference_broken"] and server_frame.encoded.frame_type == "P":
             skipped, skip_reason = True, "reference_lost"
-        if skip_state is not None:
-            skip_state["reference_broken"] = skipped
+        skip_state["reference_broken"] = skipped
     if skipped:
         client_result = _skipped_client_result(server_frame, skip_reason)
     else:
         client_result = client.process(server_frame)
-        controller = abr if abr is not None else adaptive
-        if controller is not None:
-            controller.observe(client_result.upscale_ms)
+        if spec.controller is not None:
+            spec.controller.observe(client_result.upscale_ms)
 
     psnr_db = lpips_val = None
-    if evaluate_quality and not skipped:
-        assert hr_fn is not None, "quality evaluation requires an HR source"
+    if hr_fn is not None and not skipped:
         reference = hr_fn(server_frame.index)
         psnr_db = psnr_metric(reference, client_result.hr_frame)
-        if with_lpips and server_frame.index % lpips_stride == 0:
+        if spec.with_lpips and server_frame.index % spec.lpips_stride == 0:
             lpips_val = lpips_metric(reference, client_result.hr_frame)
 
     trace = None
@@ -623,91 +626,31 @@ def _consume_frame(
     )
 
 
-def run_session(
+#: ``source(index, server_knobs)`` produces frame ``index`` after the
+#: server applies ``server_knobs`` (``None``: no feedback this frame); it
+#: returns ``None`` when the stream ended early.
+_FrameSource = Callable[[int, Optional[Dict[str, Any]]], Optional[ServerFrame]]
+
+
+def _stream(
     server: GameStreamServer,
     client: StreamingClient,
     n_frames: int,
-    evaluate_quality: bool = False,
-    with_lpips: bool = False,
-    lpips_stride: int = 1,
-    hr_reference_fn: Optional[Callable[[int], np.ndarray]] = None,
-    link: Optional[NetworkLink] = None,
-    link_deadline_ms: float = float("inf"),
-    adaptive: Optional[AdaptiveRoIController] = None,
-    skip_dropped: bool = False,
-    gop_reuse: bool = False,
-    sr_backend=None,
-    dispatch=None,
-    scenario=None,
-    abr: Optional[ABRController] = None,
+    spec: SessionSpec,
+    open_source: Callable[[MetricsRegistry], ContextManager[_FrameSource]],
 ) -> SessionResult:
-    """Stream ``n_frames`` through ``server`` -> ``client`` and aggregate.
+    """The session loop both executors drive.
 
-    ``evaluate_quality`` renders the native HR ground truth per frame and
-    scores PSNR (and LPIPS when ``with_lpips``) of the client's output —
-    substantially slower, so latency/energy benches leave it off.
-    ``lpips_stride`` scores LPIPS on every k-th frame only (it is the
-    most expensive metric); ``hr_reference_fn`` overrides the ground-truth
-    source (used to share renders across designs).
-
-    ``link`` injects a lossy :class:`NetworkLink` transport stage in place
-    of the flat bandwidth model (frames missing ``link_deadline_ms`` are
-    flagged dropped); ``adaptive`` closes the RoI-sizing loop from
-    measured upscale spans. Both default off, keeping the paper's static
-    configuration numerically identical to the pre-staged pipeline.
-
-    ``skip_dropped`` (default off) short-circuits the client for frames
-    the transport dropped: no decode/SR work runs, a zeroed upscale span
-    is recorded instead, the frame is excluded from quality scoring, and
-    the adaptive controller never observes it. Because a skipped frame
-    breaks the decoder's reference chain, subsequent P-frames are
-    skipped too (tagged ``reason="reference_lost"``) until the next
-    delivered I-frame resets the decoder — decoding them against a
-    missing or stale reference would crash or silently corrupt. With the
-    default ``False`` the client still processes dropped frames in full
-    — the historical behavior, pinned by the regression tests.
-
-    ``gop_reuse`` (default off) turns on the compressed-domain SR cache
-    on clients that support it (:mod:`repro.sr.gop_reuse`): P-frames warp
-    the previous frame's SR output by the decoded motion field and only
-    re-upscale the blocks whose residual energy marks them dirty, with a
-    mandatory full refresh on I-frames and reference-chain breaks. With
-    the default ``False`` the session traces stay byte-identical to the
-    per-frame-SR configuration (pinned by the equivalence tests).
-
-    ``sr_backend`` / ``dispatch`` (default off) swap the RoI SR executor
-    for a model-zoo :class:`~repro.sr.backends.SRBackend` or a
-    :class:`~repro.sr.dispatch.DifficultyDispatcher` on the clients that
-    support them; mutually exclusive with each other and with
-    ``gop_reuse`` (see :func:`apply_client_knobs`).
-
-    ``scenario`` (default off) streams over a trace-driven time-varying
-    link: a canned name (``"lte_drive"``), a ``"synthetic:<seed>"``
-    generator spec, or a prebuilt :class:`NetworkLink`; mutually
-    exclusive with ``link``. Frames transmit at their session-time
-    instant (``index / fps``) so the link's bandwidth/RTT/loss schedule
-    lines up with the stream, and the network span carries the
-    instantaneous conditions as ``scenario`` metadata.
-
-    ``abr`` (default off) closes the bitrate control loop: an
-    :class:`~repro.streaming.abr.ABRController` observes each frame's
-    transmit outcome and co-adapts codec quality, GOP structure, RoI
-    size, and SR backend before the next frame is produced. Subsumes
-    (and is mutually exclusive with) ``adaptive`` and the static
-    ``gop_reuse``/``sr_backend``/``dispatch`` knobs.
+    Configures the client, then opens the frame source (given the
+    session's metrics registry) and, per frame, computes the feedback
+    decision, pulls the frame and consumes it. Everything stateful on the
+    client side of the wire runs here, in frame order, so the executors
+    are byte-identical by construction.
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
-    if lpips_stride < 1:
-        raise ValueError(f"lpips_stride must be >= 1, got {lpips_stride}")
-    link = _resolve_scenario(scenario, link)
-    _validate_abr_knobs(
-        abr, adaptive=adaptive, gop_reuse=gop_reuse,
-        sr_backend=sr_backend, dispatch=dispatch,
-    )
-    apply_client_knobs(
-        client, gop_reuse=gop_reuse, sr_backend=sr_backend, dispatch=dispatch
-    )
+    link = spec.link()
+    spec.apply_to(client)
     client.reset()
     metrics = MetricsRegistry()
     result = SessionResult(
@@ -718,37 +661,45 @@ def run_session(
         gop_size=server.gop_size,
         metrics=metrics,
     )
-    hr_fn = hr_reference_fn if hr_reference_fn is not None else server.render_hr_reference
+    hr_fn = None
+    if spec.evaluate_quality:
+        hr_fn = spec.hr_reference_fn
+        if hr_fn is None:
+            hr_fn = server.render_hr_reference
     skip_state = {"reference_broken": False}
     period_ms = 1000.0 / server.fps
-    for index in range(n_frames):
-        if abr is not None:
-            _apply_server_knobs(
-                server,
-                _abr_produce_knobs(abr, server.detector is not None, server.geometry),
+    with open_source(metrics) as source:
+        for index in range(n_frames):
+            server_frame = source(index, _frame_feedback(spec, server, client))
+            if server_frame is None:
+                break
+            result.records.append(
+                _consume_frame(
+                    server_frame, client, metrics, spec, link, hr_fn,
+                    skip_state, at_ms=index * period_ms,
+                )
             )
-            _apply_abr_client_knobs(client, abr)
-        elif adaptive is not None:
-            _apply_adaptive_side(server, client, adaptive, server.geometry)
-
-        server_frame: ServerFrame = server.next_frame()
-
-        result.records.append(
-            _consume_frame(
-                server_frame,
-                client,
-                metrics,
-                link=link,
-                link_deadline_ms=link_deadline_ms,
-                adaptive=adaptive,
-                evaluate_quality=evaluate_quality,
-                with_lpips=with_lpips,
-                lpips_stride=lpips_stride,
-                hr_fn=hr_fn if evaluate_quality else None,
-                skip_dropped=skip_dropped,
-                skip_state=skip_state,
-                abr=abr,
-                at_ms=index * period_ms,
-            )
-        )
     return result
+
+
+def run_session(
+    server: GameStreamServer,
+    client: StreamingClient,
+    n_frames: int,
+    **knobs: Any,
+) -> SessionResult:
+    """Stream ``n_frames`` through ``server`` -> ``client`` and aggregate.
+
+    ``knobs`` are the fields of :class:`SessionSpec`. Each frame is
+    produced in this process by ``server.next_frame()``.
+    """
+    spec = SessionSpec(**knobs)
+
+    def next_frame(index: int, server_knobs: Optional[Dict[str, Any]]) -> ServerFrame:
+        if server_knobs is not None:
+            _apply_server_knobs(server, server_knobs)
+        return server.next_frame()
+
+    return _stream(
+        server, client, n_frames, spec, lambda metrics: nullcontext(next_frame)
+    )

@@ -192,7 +192,7 @@ class TestRefreshBoundaries:
             make_server(),
             client,
             n_frames=N,
-            link=NetworkLink(
+            scenario=NetworkLink(
                 bandwidth_mbps=20.0, propagation_ms=8.0, loss_rate=0.3, seed=13
             ),
             link_deadline_ms=80.0,

@@ -35,10 +35,12 @@ from repro.streaming import (
     SRIntegratedDecoderClient,
     ShmRing,
     StreamGeometry,
+    build_abr,
     modeled_pipeline_schedule,
     run_session,
     run_session_pipelined,
 )
+from repro.streaming import pipelined
 from repro.streaming.pipeline import FrameTrace
 
 N_FRAMES = 4
@@ -128,7 +130,7 @@ def _run_both(design, device, runner, plan, *, with_link, with_adaptive):
         client, roi_side = _make_client(design, device, runner, plan)
         kwargs = {}
         if with_link:
-            kwargs["link"] = NetworkLink(**LINK_KW)
+            kwargs["scenario"] = NetworkLink(**LINK_KW)
             kwargs["link_deadline_ms"] = 60.0
         if with_adaptive:
             kwargs["adaptive"] = AdaptiveRoIController(
@@ -221,7 +223,7 @@ class TestPipelineExecution:
                     _server(roi_side),
                     client,
                     n_frames=N_FRAMES,
-                    link=NetworkLink(**LINK_KW),
+                    scenario=NetworkLink(**LINK_KW),
                     link_deadline_ms=60.0,
                     skip_dropped=True,
                 )
@@ -242,6 +244,33 @@ class TestPipelineExecution:
             run_session_pipelined(_server(roi_side), client, n_frames=2, workers=0)
         with pytest.raises(ValueError, match="n_frames"):
             run_session_pipelined(_server(roi_side), client, n_frames=0)
+
+    @pytest.mark.parametrize("executor", [run_session, run_session_pipelined])
+    def test_bad_knobs_rejected_before_streaming(
+        self, executor, monkeypatch, tiny_runner
+    ):
+        """An unknown knob (``link=`` is gone: transports go through
+        ``scenario=``) and an ABR conflict both raise before the
+        pipelined executor creates its ring or producer."""
+
+        def not_yet(*args, **kwargs):
+            raise AssertionError("ring or producer created before knob checks")
+
+        monkeypatch.setattr(pipelined, "ShmRing", not_yet)
+        monkeypatch.setattr(pipelined.mp, "Process", not_yet)
+        device = get_device("samsung_tab_s8")
+        plan = plan_roi_window(device)
+        client, roi_side = _make_client("gamestreamsr", device, tiny_runner, plan)
+        with pytest.raises(TypeError, match="link"):
+            executor(
+                _server(roi_side), client, n_frames=2,
+                link=NetworkLink(**LINK_KW),
+            )
+        with pytest.raises(ValueError, match="mutually exclusive with gop_reuse"):
+            executor(
+                _server(roi_side), client, n_frames=2,
+                abr=build_abr(plan.side, plan.min_side, 720), gop_reuse=True,
+            )
 
 
 # -- crash injection ------------------------------------------------------
@@ -276,8 +305,20 @@ class _RaiseRender:
         return self.inner.render_frame(frame_index, width, height, fps)
 
 
+def _crash_knobs(adaptive, plan):
+    """Crash sessions run with and without the feedback pipe in use."""
+    if not adaptive:
+        return {}
+    return {
+        "adaptive": AdaptiveRoIController(
+            initial_side=plan.side, min_side=plan.min_side, max_side=720
+        )
+    }
+
+
+@pytest.mark.parametrize("adaptive", [False, True], ids=["static", "adaptive"])
 class TestCrashInjection:
-    def test_worker_killed_mid_gop_truncates_cleanly(self, tiny_runner):
+    def test_worker_killed_mid_gop_truncates_cleanly(self, adaptive, tiny_runner):
         """SIGKILL at frame 4 (mid second GOP): the session must shut
         down cleanly and return a truncated-but-valid result holding
         every frame published before the kill."""
@@ -286,7 +327,8 @@ class TestCrashInjection:
         client, roi_side = _make_client("gamestreamsr", device, tiny_runner, plan)
         game = _KillRender(build_game("G3"), kill_at=4)
         result = run_session_pipelined(
-            _server(roi_side, gop=3, game=game), client, n_frames=6, depth=2
+            _server(roi_side, gop=3, game=game), client, n_frames=6, depth=2,
+            **_crash_knobs(adaptive, plan),
         )
         assert [r.index for r in result.records] == [0, 1, 2, 3]
         assert result.metrics.counter("pipeline/truncated").value == 1
@@ -302,14 +344,15 @@ class TestCrashInjection:
         )
         assert len(ok.records) == 2
 
-    def test_producer_exception_propagates(self, tiny_runner):
+    def test_producer_exception_propagates(self, adaptive, tiny_runner):
         device = get_device("samsung_tab_s8")
         plan = plan_roi_window(device)
         client, roi_side = _make_client("bilinear", device, tiny_runner, plan)
         game = _RaiseRender(build_game("G3"), raise_at=2)
         with pytest.raises(RuntimeError, match="injected producer failure"):
             run_session_pipelined(
-                _server(roi_side, game=game), client, n_frames=4, depth=2
+                _server(roi_side, game=game), client, n_frames=4, depth=2,
+                **_crash_knobs(adaptive, plan),
             )
 
 

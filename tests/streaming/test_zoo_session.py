@@ -22,6 +22,7 @@ from repro.sr.backends import NeuralBackend
 from repro.sr.runner import SRRunner
 from repro.streaming.client import (
     BilinearClient,
+    FullFrameSRClient,
     GameStreamSRClient,
     NemoClient,
     SRIntegratedDecoderClient,
@@ -29,7 +30,7 @@ from repro.streaming.client import (
 from repro.streaming.frames import StreamGeometry
 from repro.streaming.pipelined import run_session_pipelined
 from repro.streaming.server import GameStreamServer
-from repro.streaming.session import apply_client_knobs, run_session
+from repro.streaming.session import SessionSpec, run_session
 
 GEO = StreamGeometry(eval_lr_height=48, eval_lr_width=80, lr_source="native")
 N = 6
@@ -183,9 +184,17 @@ class TestKnobValidation:
             with pytest.raises(ValueError, match=knob):
                 run_session(make_server(), client, n_frames=2, **{knob: value})
 
-    def test_apply_client_knobs_defaults_are_noop(self, device, tiny_runner):
-        client = NemoClient(device, tiny_runner)
-        apply_client_knobs(client)  # must not raise on any design
+    def test_default_spec_is_noop_on_every_design(self, device, tiny_runner):
+        for client in (
+            GameStreamSRClient(device, tiny_runner, modeled_roi_side=300),
+            SRIntegratedDecoderClient(device, tiny_runner),
+            NemoClient(device, tiny_runner),
+            BilinearClient(device),
+            FullFrameSRClient(device, tiny_runner),
+        ):
+            before = dict(vars(client))
+            SessionSpec().apply_to(client)  # must not raise on any design
+            assert vars(client) == before, client.design
 
 
 class TestDispatchSessions:
